@@ -554,7 +554,7 @@ let exact_cmd =
         with_telemetry ~trace ~events stats (fun () ->
             match engine with
             | Some exact ->
-                let s = Semimatch.Exact_unit.solve_with ~strategy ~exact g in
+                let s = Semimatch.Exact_unit.solve_with ?strategy ~exact g in
                 Printf.printf "optimal makespan: %d (%d deadlines tried, %s engine, %s)\n"
                   s.Semimatch.Exact_unit.makespan s.Semimatch.Exact_unit.deadlines_tried
                   (Semimatch.Exact_unit.exact_engine_name exact)
@@ -569,18 +569,24 @@ let exact_cmd =
                   (Semimatch.Exact_unit.exact_engine_name exact)
                   (Semimatch.Exact_unit.guarantee_name s.Semimatch.Exact_unit.guarantee)
             | None ->
-                let s = Semimatch.Exact_unit.solve ~strategy g in
-                Printf.printf "optimal makespan: %d (%d deadlines tried, %s search)\n"
-                  s.Semimatch.Exact_unit.makespan s.Semimatch.Exact_unit.deadlines_tried
-                  (Semimatch.Exact_unit.strategy_name strategy))
+                let module E = Semimatch.Exact_unit in
+                let s = E.solve ?strategy g in
+                Printf.printf "optimal makespan: %d (%d deadlines tried, %s, %s search)\n"
+                  s.E.makespan s.E.deadlines_tried
+                  (E.exact_engine_name (E.Binary_search E.default_engine))
+                  (E.strategy_name (Option.value strategy ~default:E.default_strategy)))
   in
   let strategy_conv =
     Arg.enum
       [ ("incremental", Semimatch.Exact_unit.Incremental); ("bisection", Semimatch.Exact_unit.Bisection) ]
   in
   let strategy =
-    Arg.(value & opt strategy_conv Semimatch.Exact_unit.Incremental
-         & info [ "strategy" ] ~docv:"S" ~doc:"incremental or bisection (binary search only)")
+    Arg.(value & opt (some strategy_conv) None
+         & info [ "strategy" ] ~docv:"S"
+             ~doc:
+               ("incremental or bisection (binary search only).  Default: "
+               ^ Semimatch.Exact_unit.strategy_name Semimatch.Exact_unit.default_strategy
+               ^ "."))
   in
   let engine_conv =
     Arg.enum
@@ -595,8 +601,8 @@ let exact_cmd =
              ~doc:
                "exact engine: bs-dfs, bs-hk or bs-pr (deadline binary search over a matching \
                 engine; makespan-optimal), harvey, gen-hk or dnc (direct cost-reducing-path \
-                solvers; load-vector-optimal).  Default: binary search, or a race of all six \
-                with --jobs > 1.")
+                solvers; load-vector-optimal).  Default: bs-pr, or a race of all six with \
+                --jobs > 1.")
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact optimum for SINGLEPROC-UNIT instances")

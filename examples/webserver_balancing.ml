@@ -51,9 +51,9 @@ let () =
   let exact = Semimatch.Exact_unit.solve g in
   Printf.printf "exact optimum: %d slots (%d matchings computed)\n" exact.Semimatch.Exact_unit.makespan
     exact.Semimatch.Exact_unit.deadlines_tried;
-  let bisect = Semimatch.Exact_unit.solve ~strategy:Semimatch.Exact_unit.Bisection g in
-  Printf.printf "bisection search agrees: %d (%d matchings)\n\n"
-    bisect.Semimatch.Exact_unit.makespan bisect.Semimatch.Exact_unit.deadlines_tried;
+  let scan = Semimatch.Exact_unit.solve ~strategy:Semimatch.Exact_unit.Incremental g in
+  Printf.printf "incremental search agrees: %d (%d matchings)\n\n"
+    scan.Semimatch.Exact_unit.makespan scan.Semimatch.Exact_unit.deadlines_tried;
   Printf.printf "%-20s %10s %10s\n" "heuristic" "makespan" "vs OPT";
   List.iter
     (fun algo ->

@@ -28,7 +28,9 @@ val solve : ?engine:engine -> ?capacities:int array -> Bipartite.Graph.t -> resu
     All engines return matchings of identical (maximum) cardinality. *)
 
 type stats = {
-  phases : int;  (** BFS phases (Hopcroft–Karp); 0 for the other engines *)
+  phases : int;
+      (** BFS phases (Hopcroft–Karp), global relabels (push-relabel); 0 for
+          DFS *)
   augmentations : int;  (** augmenting paths completed / pushes into slack *)
   steals : int;  (** double-push relocations (push-relabel only) *)
   scans : int;  (** vertex processing steps *)

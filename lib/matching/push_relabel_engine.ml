@@ -8,16 +8,20 @@
    between global relabels; a row whose best column reaches the height limit
    is unmatchable.
 
-   A *global relabel* (the standard MatchMaker ingredient) initializes the
-   heights to exact residual distances by backward BFS from the columns with
-   spare capacity.  Starting from zeros instead, the local relabels ratchet
-   one step at a time and the engine degenerates on infeasible instances —
-   e.g. inside the exact algorithm's deadline search — taking Θ(limit)
-   rounds per unmatchable row: the initial BFS certifies those rows
-   unmatchable immediately.  The relabel runs once, before the main loop;
-   heights then grow monotonically, which is what the termination argument
-   rests on (a mid-run relabel would lower heights and unsettle the stored
-   row labels). *)
+   A *global relabel* (the standard MatchMaker ingredient) sets the heights
+   to exact residual distances by backward BFS from the columns with spare
+   capacity, every arc (row → column push, column → occupant re-route)
+   counting 1 — the same scale the local relabels keep (a row sits one
+   above the column it was pushed into, a saturated column one above its
+   lowest occupant).  Local relabels keep the heights valid, i.e. lower
+   bounds on those distances, so a global relabel never lowers one: heights
+   grow monotonically, which is what the termination argument rests on.
+   It runs before the main loop and again after every n1 + n2 local
+   relabels.  Without it the local relabels ratchet one step at a time and
+   the engine degenerates on infeasible instances — e.g. the exact
+   algorithm's deadline search probing just below the optimum — taking
+   Θ(limit) rounds per unmatchable row; a global relabel certifies those
+   rows unmatchable at once (their columns reach the limit). *)
 
 module G = Bipartite.Graph
 open Engine_common
@@ -25,8 +29,8 @@ open Engine_common
 (* Probe points: pushes/relabels are the push-relabel complexity currencies
    (Goldberg–Tarjan count both); [steals] are the double-push relocations
    specific to the matching specialization, and [global_relabels] counts the
-   exact-height BFS passes (one per run by construction — the counter
-   documents that invariant in reports). *)
+   exact-height BFS passes (one at the start of every run, plus one per
+   n1 + n2 local relabels). *)
 let c_pushes = Obs.Metrics.counter "matching.pr.pushes"
 let c_steals = Obs.Metrics.counter "matching.pr.steals"
 let c_relabels = Obs.Metrics.counter "matching.pr.relabels"
@@ -35,10 +39,10 @@ let c_scans = Obs.Metrics.counter "matching.pr.scans"
 
 (* Exact heights by backward BFS from the columns with residual capacity,
    along residual arcs (row pushes into a column over an unmatched edge; a
-   column frees a slot by re-routing one of its occupants).  psi(u) is the
-   exact residual distance (0 at residual columns, [limit] when
-   unreachable); row labels d1 are refreshed to stay consistent lower
-   bounds, which the steal rule's validity depends on. *)
+   column frees a slot by re-routing one of its occupants), each of length
+   1.  psi(u) is the exact residual distance (0 at residual columns,
+   [limit] when unreachable); row labels d1 are refreshed to the rows'
+   distances, which the steal rule's validity depends on. *)
 let exact_heights st ~psi ~d1 ~limit ~rev_off ~rev_adj =
   let g = st.g in
   let row_dist = Array.make g.G.n1 (-1) in
@@ -64,7 +68,7 @@ let exact_heights st ~psi ~d1 ~limit ~rev_off ~rev_adj =
         (* v's own column (if any) can free a slot by re-routing v. *)
         let u' = st.mate1.(v) in
         if u' >= 0 && psi.(u') = limit then begin
-          psi.(u') <- row_dist.(v);
+          psi.(u') <- row_dist.(v) + 1;
           Queue.add u' queue
         end
       end
@@ -103,6 +107,7 @@ let run ?(stats = fresh_stats ()) g ~caps =
     done
   in
   relabel_now ();
+  let relabels = ref 0 and relabel_period = g.G.n1 + g.G.n2 in
   let queue = Queue.create () in
   for v = 0 to g.G.n1 - 1 do
     if st.mate1.(v) < 0 then Queue.add v queue
@@ -111,6 +116,10 @@ let run ?(stats = fresh_stats ()) g ~caps =
     stats.scans <- stats.scans + 1;
     Obs.Metrics.incr c_scans;
     let v = Queue.pop queue in
+    if !relabels >= relabel_period then begin
+      relabels := 0;
+      relabel_now ()
+    end;
     (* Find the lowest column adjacent to v. *)
     let best = ref (-1) and best_psi = ref max_int in
     G.iter_neighbors g v (fun u _w ->
@@ -146,6 +155,7 @@ let run ?(stats = fresh_stats ()) g ~caps =
              straight back out.  Treat as a failed push: relabel v's target
              height and retry later. *)
           Obs.Metrics.incr c_relabels;
+          incr relabels;
           psi.(u) <- max psi.(u) (min limit (!second_d + 1));
           Queue.add v queue
         end
@@ -155,6 +165,7 @@ let run ?(stats = fresh_stats ()) g ~caps =
           Obs.Metrics.incr c_steals;
           Obs.Metrics.incr c_pushes;
           Obs.Metrics.incr c_relabels;
+          incr relabels;
           steal st ~v ~from:u ~victim:v';
           psi.(u) <- max psi.(u) (min limit (!second_d + 1));
           Queue.add v' queue

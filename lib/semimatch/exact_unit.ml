@@ -29,7 +29,10 @@ let feasible ?engine g ~d =
   if result.Matching.size = g.G.n1 then Some (Bip_assignment.of_mates g result.Matching.mate1)
   else None
 
-let solve ?engine ?(strategy = Incremental) g =
+let default_engine = Matching.Push_relabel
+let default_strategy = Bisection
+
+let solve ?(engine = default_engine) ?(strategy = default_strategy) g =
   check g;
   if g.G.n1 = 0 then
     {
@@ -42,7 +45,7 @@ let solve ?engine ?(strategy = Incremental) g =
     let tried = ref 0 in
     let attempt d =
       incr tried;
-      feasible ?engine g ~d
+      feasible ~engine g ~d
     in
     let lo0 = Lower_bound.singleproc_unit g in
     match strategy with
@@ -66,16 +69,17 @@ let solve ?engine ?(strategy = Incremental) g =
             | None -> bisect (mid + 1) hi best
           end
         in
-        (* n1 is always feasible (stack everything on one allowed processor
-           per task), so start from the first feasible power-of-two probe to
-           avoid paying for huge hi when the optimum is small. *)
-        let rec find_hi d =
+        (* Gallop up from the lower bound by doubling, then bisect between
+           the last infeasible probe and the first feasible one: at most
+           2⌈log₂ opt⌉ + 1 matchings, and exactly one when the lower bound
+           is tight.  n1 is always feasible (every task on one allowed
+           processor), so the doubling stops there at the latest. *)
+        let rec gallop lo d =
           match attempt d with
-          | Some assignment -> (d, assignment)
-          | None -> find_hi (min g.G.n1 (2 * d))
+          | Some assignment -> bisect lo d assignment
+          | None -> gallop (d + 1) (min g.G.n1 (2 * d))
         in
-        let hi, best = find_hi (max lo0 1) in
-        bisect lo0 hi best
+        gallop lo0 (max lo0 1)
   end
 
 (* ---- the unified exact-engine catalogue ------------------------------ *)

@@ -42,14 +42,26 @@ type solution = {
   guarantee : guarantee;  (** what the producing engine certifies *)
 }
 
+val default_engine : Matching.engine
+(** [Push_relabel], the matching engine the paper used (Sec. IV-A). *)
+
+val default_strategy : strategy
+(** [Bisection]. *)
+
 val solve :
   ?engine:Matching.engine -> ?strategy:strategy -> Bipartite.Graph.t -> solution
 (** [solve g] computes a makespan-optimal SINGLEPROC-UNIT schedule by
     deadline search (paper Sec. IV-A).  Requires unit weights and no
     isolated task; raises [Invalid_argument] otherwise.  Defaults:
-    [Hopcroft_karp] engine (fastest here; the paper used push-relabel, also
-    available), [Incremental] strategy starting from the trivial lower bound
-    ⌈n/p⌉.  The result's [guarantee] is [Makespan_optimal] only. *)
+    {!default_engine} and {!default_strategy}.  [Bisection] gallops up from
+    the trivial lower bound ⌈n/p⌉ by doubling, then bisects, so it tries at
+    most 2⌈log₂ opt⌉ + 1 deadlines and exactly one when the bound is tight;
+    [Incremental] tries every deadline from ⌈n/p⌉ up to the optimum.  This
+    default is the one exact rule of the production paths ([exact], stream
+    ingest): measured per call it beat Hopcroft–Karp with either strategy,
+    the jobs=1 engine race and the direct engines from 20k to 100k tasks
+    (EXPERIMENTS.md, SINGLEPROC-UNIT summary).  The result's [guarantee] is
+    [Makespan_optimal] only. *)
 
 val feasible : ?engine:Matching.engine -> Bipartite.Graph.t -> d:int -> Bip_assignment.t option
 (** [feasible g ~d] is a schedule of makespan ≤ [d] if one exists — the

@@ -76,4 +76,9 @@ val solve_exact_unit :
     bookkeeping, the winning engine and its [guarantee] (makespan- vs
     load-vector-optimal — see {!Exact_unit.guarantee}) vary with the
     winner.  With [jobs = 1] the first engine in [engines] (default
-    {!Exact_unit.all_exact_engines}) wins deterministically. *)
+    {!Exact_unit.all_exact_engines}) wins deterministically.
+
+    This is the opt-in comparison race behind [exact --jobs N], not the
+    fast path: [exact] and stream ingest run {!Exact_unit.solve}, which
+    measured faster per call than the race from 2k to 100k tasks
+    (EXPERIMENTS.md, SINGLEPROC-UNIT summary). *)

@@ -1,10 +1,11 @@
 (* The streaming tier's front door: given an edge-stream file, decide from
    the sealed header alone — before reading any record — whether the
    instance fits in core.  Small instances are materialized and handed to
-   the exact/portfolio tier (the stream format is then just an interchange
-   format); large ones are solved by the bounded-memory solvers without the
-   CSR ever existing.  The threshold compares the header's CSR estimate
-   against a word budget, so the decision is O(1). *)
+   the exact rule or the heuristic portfolio (the stream format is then
+   just an interchange format); large ones are solved by the
+   bounded-memory solvers without the CSR ever existing.  The threshold
+   compares the header's CSR estimate against a word budget, so the
+   decision is O(1). *)
 
 module Sio = Hyper.Stream_io
 
@@ -19,7 +20,7 @@ let stream_solver_of_string = function
   | _ -> None
 
 type tier =
-  | In_core_exact  (** materialized, unit bipartite: the exact-engine race *)
+  | In_core_exact  (** materialized, unit bipartite: {!Semimatch.Exact_unit.solve} *)
   | In_core_portfolio  (** materialized, general: the heuristic portfolio *)
   | Stream_kr of Kr.guarantee  (** solved over the stream, never materialized *)
 
@@ -38,7 +39,7 @@ type outcome = {
   edges : int;
   header : Sio.header;
   graph : Hyper.Graph.t option;  (** the materialized instance, in-core tiers only *)
-  assignment : int array option;  (** task → processor, streamed singleton tiers *)
+  assignment : int array option;  (** task → processor, singleton tiers *)
 }
 
 (* 64 MB of CSR by default: comfortably in-core on anything that runs the
@@ -52,24 +53,30 @@ let () =
   Obs.Prom.describe "stream.ingest.incore" "Stream ingests that fell back to the in-core tier.";
   Obs.Prom.describe "stream.ingest.streamed" "Stream ingests solved by the streaming tier."
 
+(* The unit-singleton branch runs the one default exact rule
+   ({!Semimatch.Exact_unit.solve}), so its outcome never depends on
+   [jobs]/[pool]; only the heuristic portfolio uses them. *)
 let solve_in_core ?pool ?jobs h =
   match Hyper.Graph.to_bipartite h with
   | Some g when Bipartite.Graph.is_unit_weighted g && not (Bipartite.Graph.has_isolated_task g)
     ->
-      let sol, engine = Semimatch.Portfolio.solve_exact_unit ?pool ?jobs g in
       let open Semimatch.Exact_unit in
+      let sol = solve g in
       ( In_core_exact,
         float_of_int sol.makespan,
         float_of_int (Semimatch.Lower_bound.singleproc_unit g),
-        Printf.sprintf "%s (%s)" (guarantee_name sol.guarantee) (exact_engine_name engine),
-        1.0 )
+        Printf.sprintf "%s (%s)" (guarantee_name sol.guarantee)
+          (exact_engine_name (Binary_search default_engine)),
+        1.0,
+        Some (Array.init g.Bipartite.Graph.n1 (Semimatch.Bip_assignment.processor g sol.assignment)) )
   | _ ->
       let r = Semimatch.Portfolio.solve ?pool ?jobs h in
       ( In_core_portfolio,
         r.Semimatch.Portfolio.best_makespan,
         r.Semimatch.Portfolio.lower_bound,
         "portfolio-heuristic",
-        Float.nan )
+        Float.nan,
+        None )
 
 let solve ?pool ?jobs ?(threshold_words = default_threshold_words) ?(stream_solver = Auto) path
     =
@@ -88,7 +95,9 @@ let solve ?pool ?jobs ?(threshold_words = default_threshold_words) ?(stream_solv
           Sio.iter reader (fun ~task ~procs ~weight -> acc := (task, procs, weight) :: !acc);
           Hyper.Graph.create ~n1:hdr.Sio.h_n1 ~n2:hdr.Sio.h_n2 ~hyperedges:(List.rev !acc)
         in
-        let tier, makespan, lower_bound, guarantee, factor = solve_in_core ?pool ?jobs h in
+        let tier, makespan, lower_bound, guarantee, factor, assignment =
+          solve_in_core ?pool ?jobs h
+        in
         {
           tier;
           makespan;
@@ -99,7 +108,7 @@ let solve ?pool ?jobs ?(threshold_words = default_threshold_words) ?(stream_solv
           edges = hdr.Sio.h_records;
           header = hdr;
           graph = Some h;
-          assignment = None;
+          assignment;
         }
       end
       else begin

@@ -5,9 +5,9 @@
     The decision is O(1): the sealed header's CSR estimate
     ({!Hyper.Stream_io.csr_estimate_words}) is compared against a word
     budget before any record is read.  Small instances are materialized and
-    solved exactly (unit bipartite) or by the portfolio (general); large
-    ones are solved by the bounded-memory Konrad–Rosén solvers with the
-    CSR never existing. *)
+    solved exactly by {!Semimatch.Exact_unit.solve} (unit bipartite) or by
+    the heuristic portfolio (general); large ones are solved by the
+    bounded-memory Konrad–Rosén solvers with the CSR never existing. *)
 
 type stream_solver = Auto | One_pass | Few_pass
 
@@ -15,7 +15,7 @@ val stream_solver_name : stream_solver -> string
 val stream_solver_of_string : string -> stream_solver option
 
 type tier =
-  | In_core_exact  (** materialized, unit bipartite: the exact-engine race *)
+  | In_core_exact  (** materialized, unit bipartite: {!Semimatch.Exact_unit.solve} *)
   | In_core_portfolio  (** materialized, general: the heuristic portfolio *)
   | Stream_kr of Kr.guarantee  (** solved over the stream, never materialized *)
 
@@ -33,7 +33,9 @@ type outcome = {
   edges : int;
   header : Hyper.Stream_io.header;
   graph : Hyper.Graph.t option;  (** the materialized instance, in-core tiers only *)
-  assignment : int array option;  (** task → processor, streamed singleton tiers *)
+  assignment : int array option;
+      (** task → processor: the in-core exact tier and the streamed singleton
+          tiers *)
 }
 
 val default_threshold_words : int
@@ -49,5 +51,9 @@ val solve :
 (** [solve path] ingests the stream at [path].  [stream_solver] picks the
     solver when the streamed tier wins and the stream is singleton
     unit-weight ([Auto] = few-pass, the better factor); general streams
-    always get the online greedy.  Raises [Failure] on unsealed or corrupt
+    always get the online greedy.  The in-core exact tier runs
+    {!Semimatch.Exact_unit.solve} with its defaults, so its outcome —
+    guarantee ["makespan-optimal (bs-pr)"] included — is the same at every
+    [jobs]; [pool] and [jobs] affect only the heuristic portfolio of the
+    in-core general tier.  Raises [Failure] on unsealed or corrupt
     files and [Invalid_argument]/[Failure] on infeasible instances. *)

@@ -86,10 +86,17 @@ let test_exact_on_singleproc () =
                 "--seed"; "2"; "-o"; path ]));
       let out = expect_ok (run_capture [ "exact"; path ]) in
       check "prints optimum" true (contains ~needle:"optimal makespan:" out);
-      let bisect = expect_ok (run_capture [ "exact"; "--strategy"; "bisection"; path ]) in
-      (* Both strategies print the same optimum (prefix before '('). *)
+      check "names the default rule" true (contains ~needle:"bs-pr, bisection search)" out);
+      let incremental = expect_ok (run_capture [ "exact"; "--strategy"; "incremental"; path ]) in
+      check "names the chosen strategy" true (contains ~needle:"bs-pr, incremental search)" incremental);
+      let hk =
+        expect_ok
+          (run_capture [ "exact"; "--strategy"; "incremental"; "--engine"; "bs-hk"; path ])
+      in
+      (* Every rule prints the same optimum (prefix before '('). *)
       let prefix s = List.hd (String.split_on_char '(' s) in
-      Alcotest.(check string) "strategies agree" (prefix out) (prefix bisect))
+      Alcotest.(check string) "strategies agree" (prefix out) (prefix incremental);
+      Alcotest.(check string) "default = incremental bs-hk" (prefix out) (prefix hk))
 
 let test_exact_rejects_multiproc () =
   with_temp (fun path ->

@@ -250,6 +250,45 @@ let test_portfolio_race_covers_all_engines () =
       [ 1; 4 ]
   done
 
+(* The default exact rule (push-relabel, galloping bisection) at the sizes
+   the engine ranking was measured on: one matching when ⌈n/p⌉ is already
+   optimal, at most 2⌈log₂ opt⌉ + 2 otherwise, and always the optimum of
+   the incremental Hopcroft–Karp scan. *)
+let test_default_deadline_counts () =
+  let reference g =
+    (E.solve ~engine:Matching.Hopcroft_karp ~strategy:E.Incremental g).E.makespan
+  in
+  let ceil_log2 x =
+    let rec go k p = if p >= x then k else go (k + 1) (2 * p) in
+    go 0 1
+  in
+  let rng = Prng.create ~seed:1301 in
+  let tight = ref 0 in
+  List.iter
+    (fun (n1, n2, grp) ->
+      for i = 1 to 3 do
+        let g = Bipartite.Fewg_manyg.generate (Prng.split rng) ~n1 ~n2 ~g:grp ~d:5 in
+        let label = Printf.sprintf "fewg-%d-%d-%d#%d" n1 n2 grp i in
+        let s = E.solve g in
+        Alcotest.(check int) (label ^ " makespan") (reference g) s.E.makespan;
+        if s.E.makespan = Semimatch.Lower_bound.singleproc_unit g then begin
+          incr tight;
+          Alcotest.(check int) (label ^ " deadlines at a tight bound") 1 s.E.deadlines_tried
+        end
+      done)
+    [ (2000, 200, 32); (2000, 200, 128); (20000, 2000, 32) ];
+  Alcotest.(check bool) "some FewgManyg optimum is ceil(n/p)" true (!tight > 0);
+  List.iter
+    (fun n1 ->
+      let g = Bipartite.Hilo.generate ~n1 ~n2:(n1 / 10) ~g:32 ~d:5 in
+      let s = E.solve g in
+      Alcotest.(check int) (Printf.sprintf "hilo-%d makespan" n1) (reference g) s.E.makespan;
+      let bound = (2 * ceil_log2 s.E.makespan) + 2 in
+      if s.E.deadlines_tried > bound then
+        Alcotest.failf "hilo-%d: %d deadlines tried, bound %d (optimum %d)" n1
+          s.E.deadlines_tried bound s.E.makespan)
+    [ 2000; 20000 ]
+
 let suite =
   [
     Alcotest.test_case "all engines agree across >=300 instances (4 families)" `Quick
@@ -261,4 +300,6 @@ let suite =
       test_engine_guarantees_reported;
     Alcotest.test_case "portfolio race over all six engines" `Quick
       test_portfolio_race_covers_all_engines;
+    Alcotest.test_case "default rule: deadline counts pinned" `Quick
+      test_default_deadline_counts;
   ]

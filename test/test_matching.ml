@@ -149,7 +149,8 @@ let test_stats () =
       match engine with
       | Matching.Hopcroft_karp -> check "phases counted" true (stats.Matching.phases >= 1)
       | Matching.Push_relabel ->
-          (* One global relabel at initialization. *)
+          (* One global relabel at initialization; this instance needs
+             fewer than n1 + n2 local relabels, so no periodic one. *)
           Alcotest.(check int) "init relabel" 1 stats.Matching.phases
       | Matching.Dfs -> Alcotest.(check int) "no phases" 0 stats.Matching.phases)
     Matching.all_engines
@@ -163,10 +164,37 @@ let test_stats_steals_only_push_relabel () =
   let _, hk_stats = Matching.solve_with_stats ~engine:Matching.Hopcroft_karp g in
   Alcotest.(check int) "hk never steals" 0 hk_stats.Matching.steals
 
+(* ManyG with groups of one or two processors, capacities one below the
+   optimum: a Hall violator that a single initial global relabel leaves to
+   the local relabels, which then ratchet every contested row up to the
+   height limit one step at a time (~700x the scans below).  The periodic
+   global relabel keeps the work near-linear. *)
+let test_push_relabel_infeasible_scans () =
+  let g =
+    Bipartite.Fewg_manyg.generate (Randkit.Prng.create ~seed:5) ~n1:2000 ~n2:200 ~g:128 ~d:5
+  in
+  let size engine d =
+    Matching.solve_with_stats ~engine ~capacities:(Array.make g.G.n2 d) g
+  in
+  let rec optimum d =
+    if (fst (size Matching.Hopcroft_karp d)).Matching.size = g.G.n1 then d else optimum (d + 1)
+  in
+  let d = optimum 1 - 1 in
+  let hk, _ = size Matching.Hopcroft_karp d in
+  let pr, stats = size Matching.Push_relabel d in
+  check "deadline below the optimum is infeasible" true (hk.Matching.size < g.G.n1);
+  Alcotest.(check int) "same cardinality as Hopcroft-Karp" hk.Matching.size pr.Matching.size;
+  let bound = 10 * (g.G.n1 + g.G.n2) in
+  if stats.Matching.scans > bound then
+    Alcotest.failf "push-relabel scanned %d rows at capacity %d (bound %d)" stats.Matching.scans d
+      bound
+
 let suite =
   [
     Alcotest.test_case "engine statistics" `Quick test_stats;
     Alcotest.test_case "steal counter" `Quick test_stats_steals_only_push_relabel;
+    Alcotest.test_case "push-relabel near-linear below the optimum" `Quick
+      test_push_relabel_infeasible_scans;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     Alcotest.test_case "no edges" `Quick test_no_edges;
     Alcotest.test_case "perfect matching on a cycle" `Quick test_perfect_matching_cycle;

@@ -363,6 +363,44 @@ let test_ingest_tiers () =
       check "general stream gets the online greedy" true
         (o.Ingest.tier = Ingest.Stream_kr Kr.Online_greedy))
 
+(* The in-core unit tier runs the one default exact rule: its outcome is
+   byte-identical at every job count and equals Exact_unit.solve on the
+   materialized graph, assignment included. *)
+let test_ingest_exact_rule () =
+  List.iter
+    (fun (name, n, p, adj) ->
+      with_temp (fun path ->
+          write_sp_case path (n, p, adj);
+          let fingerprint (o : Ingest.outcome) =
+            Marshal.to_string
+              ( Ingest.tier_name o.tier,
+                o.makespan,
+                o.lower_bound,
+                o.guarantee,
+                o.factor,
+                o.passes,
+                o.edges,
+                o.assignment )
+              [ Marshal.No_sharing ]
+          in
+          let o1 = Ingest.solve ~jobs:1 path and o4 = Ingest.solve ~jobs:4 path in
+          check (name ^ ": in-core exact tier") true (o1.Ingest.tier = Ingest.In_core_exact);
+          check (name ^ ": byte-identical at jobs 1 and 4") true (fingerprint o1 = fingerprint o4);
+          Alcotest.(check string) (name ^ ": guarantee") "makespan-optimal (bs-pr)" o1.Ingest.guarantee;
+          let g = Option.get (H.to_bipartite (Option.get o1.Ingest.graph)) in
+          let s = Semimatch.Exact_unit.solve g in
+          Alcotest.(check (float 0.0)) (name ^ ": makespan = Exact_unit.solve")
+            (float_of_int s.Semimatch.Exact_unit.makespan) o1.Ingest.makespan;
+          Alcotest.(check (option (array int))) (name ^ ": assignment = Exact_unit.solve")
+            (Some
+               (Array.init n
+                  (Semimatch.Bip_assignment.processor g s.Semimatch.Exact_unit.assignment)))
+            o1.Ingest.assignment))
+    [
+      ("fewg", 400, 40, Bipartite.Fewg_manyg.adjacency (Prng.create ~seed:13) ~n1:400 ~n2:40 ~g:8 ~d:3);
+      ("hilo", 400, 40, Bipartite.Hilo.adjacency ~n1:400 ~n2:40 ~g:4 ~d:3);
+    ]
+
 let test_memory_bound () =
   with_temp (fun path ->
       let n = 20_000 and p = 100 in
@@ -568,6 +606,7 @@ let suite =
     Alcotest.test_case "differential vs exact (100 instances)" `Quick test_differential_vs_exact;
     Alcotest.test_case "online greedy: general streams" `Quick test_online_greedy_general;
     Alcotest.test_case "ingest tier decision" `Quick test_ingest_tiers;
+    Alcotest.test_case "ingest: one exact rule at every job count" `Quick test_ingest_exact_rule;
     Alcotest.test_case "memory bound vs CSR estimate" `Quick test_memory_bound;
     Alcotest.test_case "daemon: chunked upload, in-core fallback" `Quick test_daemon_stream_incore;
     Alcotest.test_case "daemon: forced streamed tier" `Quick test_daemon_stream_streamed;
