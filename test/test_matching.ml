@@ -193,8 +193,6 @@ let suite =
   [
     Alcotest.test_case "engine statistics" `Quick test_stats;
     Alcotest.test_case "steal counter" `Quick test_stats_steals_only_push_relabel;
-    Alcotest.test_case "push-relabel near-linear below the optimum" `Quick
-      test_push_relabel_infeasible_scans;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     Alcotest.test_case "no edges" `Quick test_no_edges;
     Alcotest.test_case "perfect matching on a cycle" `Quick test_perfect_matching_cycle;
@@ -207,4 +205,6 @@ let suite =
     QCheck_alcotest.to_alcotest (engines_optimal_prop Matching.Hopcroft_karp);
     QCheck_alcotest.to_alcotest (engines_optimal_prop Matching.Push_relabel);
     QCheck_alcotest.to_alcotest engines_agree_prop;
+    Alcotest.test_case "push-relabel near-linear below the optimum" `Quick
+      test_push_relabel_infeasible_scans;
   ]
