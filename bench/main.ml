@@ -139,8 +139,6 @@ let ablation_exact =
         (Staged.stage (fun () -> Semimatch.Harvey.solve gap_instance));
       Test.make ~name:"gen-hk"
         (Staged.stage (fun () -> Semimatch.Gen_hk.solve gap_instance));
-      Test.make ~name:"dnc"
-        (Staged.stage (fun () -> Semimatch.Divide_conquer.solve gap_instance));
     ]
 
 let ablation_engines =

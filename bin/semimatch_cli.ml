@@ -542,7 +542,7 @@ let solve_cmd =
           $ trace_arg $ events_arg $ file_arg)
 
 let exact_cmd =
-  let run strategy engine jobs stats trace events file =
+  let run strategy engine stats trace events file =
     let h = load_instance file in
     match singleton_unit h with
     | None ->
@@ -552,29 +552,21 @@ let exact_cmd =
         exit 1
     | Some g ->
         with_telemetry ~trace ~events stats (fun () ->
-            match engine with
-            | Some exact ->
-                let s = Semimatch.Exact_unit.solve_with ?strategy ~exact g in
-                Printf.printf "optimal makespan: %d (%d deadlines tried, %s engine, %s)\n"
-                  s.Semimatch.Exact_unit.makespan s.Semimatch.Exact_unit.deadlines_tried
-                  (Semimatch.Exact_unit.exact_engine_name exact)
-                  (Semimatch.Exact_unit.guarantee_name s.Semimatch.Exact_unit.guarantee)
-            | None when jobs > 1 ->
-                (* Race every exact engine; all compute the same optimum, so
-                   only the winner (and its bookkeeping) depends on timing. *)
-                let s, exact = Semimatch.Portfolio.solve_exact_unit ~jobs g in
-                Printf.printf
-                  "optimal makespan: %d (%d deadlines tried, %s engine won the race, %s)\n"
-                  s.Semimatch.Exact_unit.makespan s.Semimatch.Exact_unit.deadlines_tried
-                  (Semimatch.Exact_unit.exact_engine_name exact)
-                  (Semimatch.Exact_unit.guarantee_name s.Semimatch.Exact_unit.guarantee)
-            | None ->
-                let module E = Semimatch.Exact_unit in
-                let s = E.solve ?strategy g in
-                Printf.printf "optimal makespan: %d (%d deadlines tried, %s, %s search)\n"
-                  s.E.makespan s.E.deadlines_tried
-                  (E.exact_engine_name (E.Binary_search E.default_engine))
-                  (E.strategy_name (Option.value strategy ~default:E.default_strategy)))
+            let module E = Semimatch.Exact_unit in
+            let exact = Option.value engine ~default:(E.Binary_search E.default_engine) in
+            let s = E.solve_with ?strategy ~exact g in
+            (* The default names its search; a chosen engine, its guarantee. *)
+            let rule =
+              match engine with
+              | None ->
+                  Printf.sprintf "%s, %s search" (E.exact_engine_name exact)
+                    (E.strategy_name (Option.value strategy ~default:E.default_strategy))
+              | Some _ ->
+                  Printf.sprintf "%s engine, %s" (E.exact_engine_name exact)
+                    (E.guarantee_name s.E.guarantee)
+            in
+            Printf.printf "optimal makespan: %d (%d deadlines tried, %s)\n" s.E.makespan
+              s.E.deadlines_tried rule)
   in
   let strategy_conv =
     Arg.enum
@@ -600,13 +592,12 @@ let exact_cmd =
              ~docv:"E"
              ~doc:
                "exact engine: bs-dfs, bs-hk or bs-pr (deadline binary search over a matching \
-                engine; makespan-optimal), harvey, gen-hk or dnc (direct cost-reducing-path \
-                solvers; load-vector-optimal).  Default: bs-pr, or a race of all six with \
-                --jobs > 1.")
+                engine; makespan-optimal), harvey or gen-hk (direct cost-reducing-path \
+                solvers; load-vector-optimal).  Default: bs-pr.")
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact optimum for SINGLEPROC-UNIT instances")
-    Term.(const run $ strategy $ engine $ jobs_arg $ stats_arg $ trace_arg $ events_arg $ file_arg)
+    Term.(const run $ strategy $ engine $ stats_arg $ trace_arg $ events_arg $ file_arg)
 
 let compare_cmd =
   let run refine stats file =

@@ -88,11 +88,10 @@ type exact_engine =
   | Binary_search of Matching.engine
   | Harvey_online
   | Gen_hk
-  | Divide_conquer
 
 let all_exact_engines =
   List.map (fun e -> Binary_search e) Matching.all_engines
-  @ [ Harvey_online; Gen_hk; Divide_conquer ]
+  @ [ Harvey_online; Gen_hk ]
 
 let exact_engine_name = function
   | Binary_search Matching.Dfs -> "bs-dfs"
@@ -100,11 +99,10 @@ let exact_engine_name = function
   | Binary_search Matching.Push_relabel -> "bs-pr"
   | Harvey_online -> "harvey"
   | Gen_hk -> "gen-hk"
-  | Divide_conquer -> "dnc"
 
 let exact_engine_guarantee = function
   | Binary_search _ -> Makespan_optimal
-  | Harvey_online | Gen_hk | Divide_conquer -> Load_vector_optimal
+  | Harvey_online | Gen_hk -> Load_vector_optimal
 
 let solve_with ?strategy ~exact g =
   match exact with
@@ -123,13 +121,5 @@ let solve_with ?strategy ~exact g =
         makespan = s.Gen_hk.makespan;
         assignment = s.Gen_hk.assignment;
         deadlines_tried = s.Gen_hk.phases;
-        guarantee = Load_vector_optimal;
-      }
-  | Divide_conquer ->
-      let s = Divide_conquer.solve g in
-      {
-        makespan = s.Divide_conquer.makespan;
-        assignment = s.Divide_conquer.assignment;
-        deadlines_tried = s.Divide_conquer.matchings;
         guarantee = Load_vector_optimal;
       }

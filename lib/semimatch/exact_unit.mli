@@ -13,8 +13,8 @@
       which by Harvey et al.'s characterization minimizes {e every}
       symmetric convex cost simultaneously — the makespan, the total flow
       time Σ l(l+1)/2, and the lexicographic order of the sorted load
-      vector.  The direct engines ({!Harvey}, {!Gen_hk}, {!Divide_conquer})
-      certify this strictly stronger property.
+      vector.  The direct engines ({!Harvey}, {!Gen_hk}) certify this
+      strictly stronger property.
 
     Every {!solution} records which level its engine guarantees, so callers
     racing engines know what the winner's bytes actually promise. *)
@@ -37,8 +37,7 @@ type solution = {
   assignment : Bip_assignment.t;
   deadlines_tried : int;
       (** search/phase bookkeeping: matching computations for the binary
-          searches and {!Divide_conquer}, BFS phases for {!Gen_hk}, 0 for
-          Harvey insertion *)
+          searches, BFS phases for {!Gen_hk}, 0 for Harvey insertion *)
   guarantee : guarantee;  (** what the producing engine certifies *)
 }
 
@@ -81,15 +80,12 @@ type exact_engine =
   | Gen_hk
       (** {!Gen_hk.solve}: shortest cost-reducing path phases
           (Katrenič–Semanišin); load-vector *)
-  | Divide_conquer
-      (** {!Divide_conquer.solve}: FLN level recursion over capacitated
-          matchings + elimination stitch; load-vector *)
 
 val all_exact_engines : exact_engine list
-(** The three binary searches then the three direct engines. *)
+(** The three binary searches then the two direct engines. *)
 
 val exact_engine_name : exact_engine -> string
-(** "bs-dfs", "bs-hk", "bs-pr", "harvey", "gen-hk", "dnc". *)
+(** "bs-dfs", "bs-hk", "bs-pr", "harvey", "gen-hk". *)
 
 val exact_engine_guarantee : exact_engine -> guarantee
 

@@ -68,7 +68,7 @@ val solve_exact_unit :
   ?engines:Exact_unit.exact_engine list ->
   Bipartite.Graph.t ->
   Exact_unit.solution * Exact_unit.exact_engine
-(** Race the exact engines — the three binary searches and the three direct
+(** Race the exact engines — the three binary searches and the two direct
     cost-reducing-path solvers — on the same SINGLEPROC-UNIT instance and
     return the first solution to arrive with the engine that produced it.
     All engines compute the same optimal {e makespan}, so that value is
@@ -78,7 +78,7 @@ val solve_exact_unit :
     winner.  With [jobs = 1] the first engine in [engines] (default
     {!Exact_unit.all_exact_engines}) wins deterministically.
 
-    This is the opt-in comparison race behind [exact --jobs N], not the
-    fast path: [exact] and stream ingest run {!Exact_unit.solve}, which
-    measured faster per call than the race from 2k to 100k tasks
-    (EXPERIMENTS.md, SINGLEPROC-UNIT summary). *)
+    This is a comparison race for benchmarks and tests, not a production
+    path: [exact] and stream ingest run {!Exact_unit.solve}, which measured
+    faster per call than the race from 2k to 100k tasks (EXPERIMENTS.md,
+    SINGLEPROC-UNIT summary). *)

@@ -1,6 +1,6 @@
 (* Differential proof of the direct exact engines: every engine in
    Exact_unit.all_exact_engines must report the same optimal makespan on the
-   same bytes, the load-vector-optimal engines (harvey, gen-hk, dnc) must
+   same bytes, the load-vector-optimal engines (harvey, gen-hk) must
    produce the *same* sorted load vector (it is unique across optimal
    semi-matchings), and that vector must be lexicographically no worse than
    what the makespan-only binary searches return.  Instance families: HiLo,
@@ -14,7 +14,7 @@ module Ba = Semimatch.Bip_assignment
 module Prng = Randkit.Prng
 
 let engines = E.all_exact_engines
-let direct = [ E.Harvey_online; E.Gen_hk; E.Divide_conquer ]
+let direct = [ E.Harvey_online; E.Gen_hk ]
 
 let int_loads g a = Array.map int_of_float (Ba.loads g a)
 
@@ -70,14 +70,10 @@ let check_instance ?(brute = false) label g =
           (E.exact_engine_name exact) (render v))
     solutions;
   (* Flow-time side of the same coin, through each engine's own report. *)
-  let hk = Semimatch.Gen_hk.solve g and dc = Semimatch.Divide_conquer.solve g in
-  let hv = Semimatch.Harvey.solve g in
+  let hk = Semimatch.Gen_hk.solve g and hv = Semimatch.Harvey.solve g in
   if hk.Semimatch.Gen_hk.total_flow_time <> hv.Semimatch.Harvey.total_flow_time then
     Alcotest.failf "%s: gen-hk flow time %d vs harvey %d" label
       hk.Semimatch.Gen_hk.total_flow_time hv.Semimatch.Harvey.total_flow_time;
-  if dc.Semimatch.Divide_conquer.total_flow_time <> hv.Semimatch.Harvey.total_flow_time then
-    Alcotest.failf "%s: dnc flow time %d vs harvey %d" label
-      dc.Semimatch.Divide_conquer.total_flow_time hv.Semimatch.Harvey.total_flow_time;
   if brute then begin
     let opt_bf, _ = Semimatch.Brute_force.singleproc g in
     if Float.abs (opt_bf -. float_of_int reference) > 1e-9 then
@@ -164,14 +160,13 @@ let chung_lu_instances rng n =
       let n1 = 4 + Prng.int r 50 and n2 = 2 + Prng.int r 12 in
       (Printf.sprintf "chung-lu-%d" i, chung_lu r ~n1 ~n2))
 
-let test_all_families_agree () =
+(* The 316-instance differential suite. *)
+let differential_suite () =
   let rng = Prng.create ~seed:701 in
-  let instances =
-    hilo_grid ()
-    @ fewg_instances rng 110
-    @ adversarial_instances ()
-    @ chung_lu_instances rng 140
-  in
+  hilo_grid () @ fewg_instances rng 110 @ adversarial_instances () @ chung_lu_instances rng 140
+
+let test_all_families_agree () =
+  let instances = differential_suite () in
   (* The acceptance bar is >= 300 instances; fail loudly if a family edit
      ever shrinks the pool below it. *)
   Alcotest.(check bool) "at least 300 instances" true (List.length instances >= 300);
@@ -215,7 +210,7 @@ let test_engine_guarantees_reported () =
       let expected =
         match exact with
         | E.Binary_search _ -> E.Makespan_optimal
-        | E.Harvey_online | E.Gen_hk | E.Divide_conquer -> E.Load_vector_optimal
+        | E.Harvey_online | E.Gen_hk -> E.Load_vector_optimal
       in
       Alcotest.(check bool)
         (E.exact_engine_name exact ^ " guarantee")
@@ -289,6 +284,104 @@ let test_default_deadline_counts () =
           s.E.deadlines_tried bound s.E.makespan)
     [ 2000; 20000 ]
 
+(* --- Hall-witness certificate ------------------------------------------ *)
+
+(* Optimality evidence that no engine vouches for.  A task set S with
+   |S| > (L−1)·|N(S)| cannot be placed with every processor loaded below L
+   (Hall's condition with L−1 copies of each processor), so a valid
+   schedule of makespan L is optimal.  The witness builder runs its own
+   augmenting-path matching, and the check recounts N(S) from the CSR. *)
+
+(* Maximum matching with every processor of capacity [cap], by plain
+   augmenting DFS: task -> processor, or -1 when unmatched. *)
+let capacitated_matching (g : G.t) ~cap =
+  let mate = Array.make g.G.n1 (-1) and load = Array.make g.G.n2 0 in
+  (* [place seen v] gives task v a processor, moving earlier tasks along an
+     alternating path if it must; it changes nothing when it fails. *)
+  let rec place seen v =
+    let rec scan e =
+      e < g.G.off.(v + 1)
+      &&
+      let u = g.G.adj.(e) in
+      if seen.(u) then scan (e + 1)
+      else begin
+        seen.(u) <- true;
+        let fits = load.(u) < cap in
+        if fits || evict seen u 0 then begin
+          if fits then load.(u) <- load.(u) + 1;
+          mate.(v) <- u;
+          true
+        end
+        else scan (e + 1)
+      end
+    in
+    scan g.G.off.(v)
+  (* moves one task held by [u] elsewhere, freeing one of u's slots *)
+  and evict seen u w =
+    w < g.G.n1 && ((mate.(w) = u && place seen w) || evict seen u (w + 1))
+  in
+  for v = 0 to g.G.n1 - 1 do
+    ignore (place (Array.make g.G.n2 false) v)
+  done;
+  mate
+
+(* A task set proving that no schedule has makespan below [l]: all tasks
+   when [l] is the bound ⌈n/p⌉, otherwise the tasks reachable by
+   alternating paths from a task a capacity-(l−1) maximum matching leaves
+   unmatched.  [None] when that matching places every task. *)
+let hall_witness (g : G.t) ~l =
+  if l = (g.G.n1 + g.G.n2 - 1) / g.G.n2 then Some (Array.make g.G.n1 true)
+  else
+    let mate = capacitated_matching g ~cap:(l - 1) in
+    Array.find_index (fun u -> u < 0) mate
+    |> Option.map (fun root ->
+           let in_s = Array.make g.G.n1 false and reached = Array.make g.G.n2 false in
+           let rec visit v =
+             if not in_s.(v) then begin
+               in_s.(v) <- true;
+               for e = g.G.off.(v) to g.G.off.(v + 1) - 1 do
+                 let u = g.G.adj.(e) in
+                 if not reached.(u) then begin
+                   reached.(u) <- true;
+                   Array.iteri (fun w m -> if m = u then visit w) mate
+                 end
+               done
+             end
+           in
+           visit root;
+           in_s)
+
+(* |S| > (l−1)·|N(S)|, with N(S) recounted from the CSR. *)
+let violates_hall (g : G.t) ~l s =
+  let neighbour = Array.make g.G.n2 false and size = ref 0 in
+  Array.iteri
+    (fun v inside ->
+      if inside then begin
+        incr size;
+        for e = g.G.off.(v) to g.G.off.(v + 1) - 1 do
+          neighbour.(g.G.adj.(e)) <- true
+        done
+      end)
+    s;
+  let n_s = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 neighbour in
+  !size > (l - 1) * n_s
+
+let test_hall_witness_certifies_optimum () =
+  List.iter
+    (fun (label, g) ->
+      let s = E.solve g in
+      let l = s.E.makespan in
+      if not (Ba.is_valid g s.E.assignment && Array.fold_left max 0 (int_loads g s.E.assignment) = l)
+      then Alcotest.failf "%s: the schedule does not have makespan %d" label l;
+      (match hall_witness g ~l with
+      | Some set when violates_hall g ~l set -> ()
+      | Some _ -> Alcotest.failf "%s: the witness for %d satisfies Hall's condition" label l
+      | None -> Alcotest.failf "%s: no Hall witness for makespan %d" label l);
+      (* An engine reporting one too many would be caught. *)
+      if hall_witness g ~l:(l + 1) <> None then
+        Alcotest.failf "%s: a Hall witness claims makespan %d is impossible" label l)
+    (differential_suite ())
+
 let suite =
   [
     Alcotest.test_case "all engines agree across >=300 instances (4 families)" `Quick
@@ -302,4 +395,6 @@ let suite =
       test_portfolio_race_covers_all_engines;
     Alcotest.test_case "default rule: deadline counts pinned" `Quick
       test_default_deadline_counts;
+    Alcotest.test_case "Hall witness certifies the optimum (316 instances)" `Quick
+      test_hall_witness_certifies_optimum;
   ]

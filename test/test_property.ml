@@ -254,13 +254,7 @@ let test_optimal_flow_cost () =
       in
       match check "gen-hk" (Semimatch.Gen_hk.solve g).Semimatch.Gen_hk.total_flow_time with
       | Error _ as e -> e
-      | Ok () -> (
-          match
-            check "dnc"
-              (Semimatch.Divide_conquer.solve g).Semimatch.Divide_conquer.total_flow_time
-          with
-          | Error _ as e -> e
-          | Ok () -> check "harvey" (Semimatch.Harvey.solve g).Semimatch.Harvey.total_flow_time)
+      | Ok () -> check "harvey" (Semimatch.Harvey.solve g).Semimatch.Harvey.total_flow_time
     end
   in
   let rng = Prng.create ~seed:31 in
