@@ -7,149 +7,141 @@ let c_compares = Obs.Metrics.counter "ds.loadvec.compares"
 
 type t = {
   loads : float array;
-  mutable sorted : float array; (* descending multiset of [loads] values *)
+  (* Comparison scratch: [mark.(u) = epoch] flags u as changed by the
+     first candidate, [slot.(u)] is its index there; [vals]/[signs] hold
+     the signed multiset still to decide, grown on demand. *)
+  mark : int array;
+  slot : int array;
+  mutable epoch : int;
+  mutable vals : float array;
+  mutable signs : int array;
 }
+
+type delta = { procs : int array; amounts : float array; mutable len : int }
 
 let create p =
   if p < 0 then invalid_arg "Load_vector.create";
-  { loads = Array.make p 0.0; sorted = Array.make p 0.0 }
+  { loads = Array.make p 0.0; mark = Array.make p 0; slot = Array.make p 0; epoch = 0;
+    vals = Array.make 16 0.0; signs = Array.make 16 0 }
 
 let size t = Array.length t.loads
 let load t u = t.loads.(u)
-let max_load t = if Array.length t.sorted = 0 then 0.0 else t.sorted.(0)
+let max_load t = if size t = 0 then 0.0 else Array.fold_left Float.max t.loads.(0) t.loads
 
-let desc a b = compare (b : float) a
+let sorted_desc t =
+  let v = Array.copy t.loads in
+  Array.sort (fun a b -> compare b a) v;
+  v
 
-(* Multisets of old values of [procs] and of their updated values, both
-   descending.  Works for both uniform-w and general-delta updates. *)
-let changed_values t procs amount_of =
-  let k = Array.length procs in
-  let removed = Array.make k 0.0 and added = Array.make k 0.0 in
-  for i = 0 to k - 1 do
-    let old = t.loads.(procs.(i)) in
-    removed.(i) <- old;
-    added.(i) <- old +. amount_of i
-  done;
-  Array.sort desc removed;
-  Array.sort desc added;
-  (removed, added)
+let delta_buffer t = { procs = Array.make (size t) 0; amounts = Array.make (size t) 0.0; len = 0 }
 
-(* Rebuild [sorted] in one linear merge: walk the old sorted array skipping
-   one occurrence of each removed value, interleaving the added values. *)
-let remerge t removed added =
-  let p = Array.length t.sorted in
-  let out = Array.make p 0.0 in
-  let i = ref 0 (* base *) and j = ref 0 (* removed *) and k = ref 0 (* added *) in
-  for o = 0 to p - 1 do
-    (* Skip base entries matched by pending removals.  Values are exact
-       copies, so float equality is the right test. *)
-    let rec skip () =
-      if !i < p && !j < Array.length removed && t.sorted.(!i) = removed.(!j) then begin
-        incr i;
-        incr j;
-        skip ()
-      end
-    in
-    skip ();
-    let take_base = !i < p && (!k >= Array.length added || t.sorted.(!i) >= added.(!k)) in
-    if take_base then begin
-      out.(o) <- t.sorted.(!i);
-      incr i
-    end
-    else begin
-      out.(o) <- added.(!k);
-      incr k
-    end
-  done;
-  t.sorted <- out
+let commit t d =
+  Obs.Metrics.incr c_applies;
+  for i = 0 to d.len - 1 do
+    let u = d.procs.(i) in
+    t.loads.(u) <- t.loads.(u) +. d.amounts.(i)
+  done
 
 let apply_delta t ~procs ~amounts =
   if Array.length procs <> Array.length amounts then
     invalid_arg "Load_vector.apply_delta: length mismatch";
-  Obs.Metrics.incr c_applies;
-  let removed, added = changed_values t procs (fun i -> amounts.(i)) in
-  Array.iteri (fun i u -> t.loads.(u) <- t.loads.(u) +. amounts.(i)) procs;
-  remerge t removed added
+  commit t { procs; amounts; len = Array.length procs }
 
 let apply t ~procs ~w =
   Obs.Metrics.incr c_applies;
-  let removed, added = changed_values t procs (fun _ -> w) in
-  Array.iter (fun u -> t.loads.(u) <- t.loads.(u) +. w) procs;
-  remerge t removed added
+  Array.iter (fun u -> t.loads.(u) <- t.loads.(u) +. w) procs
 
 let add t ~proc ~w = apply t ~procs:[| proc |] ~w
 
-let sorted_desc t = Array.copy t.sorted
+let push t n v s =
+  if n = Array.length t.vals then begin
+    t.vals <- Array.append t.vals t.vals;
+    t.signs <- Array.append t.signs t.signs
+  end;
+  t.vals.(n) <- v;
+  t.signs.(n) <- s;
+  n + 1
 
-(* Lazy iterator over the hypothetical vector merge(base \ removed, added). *)
-type cursor = {
-  base : float array;
-  removed : float array;
-  added : float array;
-  mutable bi : int;
-  mutable ri : int;
-  mutable ai : int;
-}
-
-let cursor t (removed, added) = { base = t.sorted; removed; added; bi = 0; ri = 0; ai = 0 }
-
-let cursor_next c =
-  let rec skip () =
-    if
-      c.bi < Array.length c.base
-      && c.ri < Array.length c.removed
-      && c.base.(c.bi) = c.removed.(c.ri)
-    then begin
-      c.bi <- c.bi + 1;
-      c.ri <- c.ri + 1;
-      skip ()
+(* The sorted vectors X (after a) and Y (after b) have equal length, so
+   their lexicographic order is the sign of the net multiplicity in X − Y
+   of the largest value whose multiplicity differs.  Each round finds the
+   top value and its net count; a zero net drops that value and retries. *)
+let rec decide t n =
+  if n = 0 then 0
+  else begin
+    let vals = t.vals and signs = t.signs in
+    let top = ref vals.(0) and net = ref signs.(0) in
+    for i = 1 to n - 1 do
+      let x = vals.(i) in
+      if x > !top then begin
+        top := x;
+        net := signs.(i)
+      end
+      else if x = !top then net := !net + signs.(i)
+    done;
+    if !net <> 0 then compare !net 0
+    else begin
+      let m = ref 0 in
+      for i = 0 to n - 1 do
+        if vals.(i) <> !top then begin
+          vals.(!m) <- vals.(i);
+          signs.(!m) <- signs.(i);
+          incr m
+        end
+      done;
+      decide t !m
     end
-  in
-  skip ();
-  let have_base = c.bi < Array.length c.base in
-  let have_added = c.ai < Array.length c.added in
-  if have_base && ((not have_added) || c.base.(c.bi) >= c.added.(c.ai)) then begin
-    let v = c.base.(c.bi) in
-    c.bi <- c.bi + 1;
-    Some v
   end
-  else if have_added then begin
-    let v = c.added.(c.ai) in
-    c.ai <- c.ai + 1;
-    Some v
-  end
-  else None
 
-let compare_cursors ca cb =
-  let rec walk () =
-    match (cursor_next ca, cursor_next cb) with
-    | None, None -> 0
-    | Some _, None -> 1
-    | None, Some _ -> -1
-    | Some va, Some vb -> if va < vb then -1 else if va > vb then 1 else walk ()
-  in
-  walk ()
-
-let compare_hypothetical t ~a:(procs_a, wa) ~b:(procs_b, wb) =
+(* X − Y = (new_a ⊎ old_b) − (old_a ⊎ new_b) over changed processors only.
+   A processor changed by both sides has the same old value on both, which
+   cancels; equal new values cancel too, as does an update by 0. *)
+let compare_delta t a b =
   Obs.Metrics.incr c_compares;
-  let ca = cursor t (changed_values t procs_a (fun _ -> wa)) in
-  let cb = cursor t (changed_values t procs_b (fun _ -> wb)) in
-  compare_cursors ca cb
+  t.epoch <- t.epoch + 2;
+  let in_a = t.epoch and loads = t.loads in
+  for i = 0 to a.len - 1 do
+    let u = a.procs.(i) in
+    t.mark.(u) <- in_a;
+    t.slot.(u) <- i
+  done;
+  let n = ref 0 in
+  for j = 0 to b.len - 1 do
+    let u = b.procs.(j) in
+    let l = loads.(u) in
+    let nb = l +. b.amounts.(j) in
+    if t.mark.(u) = in_a then begin
+      t.mark.(u) <- in_a + 1;
+      let na = l +. a.amounts.(t.slot.(u)) in
+      if na <> nb then n := push t (push t !n na 1) nb (-1)
+    end
+    else if nb <> l then n := push t (push t !n l 1) nb (-1)
+  done;
+  for i = 0 to a.len - 1 do
+    let u = a.procs.(i) in
+    if t.mark.(u) = in_a then begin
+      let l = loads.(u) in
+      let na = l +. a.amounts.(i) in
+      if na <> l then n := push t (push t !n na 1) l (-1)
+    end
+  done;
+  decide t !n
 
 let compare_hypothetical_delta t ~a:(procs_a, am_a) ~b:(procs_b, am_b) =
-  Obs.Metrics.incr c_compares;
-  let ca = cursor t (changed_values t procs_a (fun i -> am_a.(i))) in
-  let cb = cursor t (changed_values t procs_b (fun i -> am_b.(i))) in
-  compare_cursors ca cb
+  compare_delta t
+    { procs = procs_a; amounts = am_a; len = Array.length procs_a }
+    { procs = procs_b; amounts = am_b; len = Array.length procs_b }
 
-let hypothetical_sorted t ~procs ~w =
-  let v = Array.copy t.loads in
-  Array.iter (fun u -> v.(u) <- v.(u) +. w) procs;
-  Array.sort desc v;
-  v
+let compare_hypothetical t ~a:(procs_a, wa) ~b:(procs_b, wb) =
+  compare_hypothetical_delta t
+    ~a:(procs_a, Array.map (fun _ -> wa) procs_a)
+    ~b:(procs_b, Array.map (fun _ -> wb) procs_b)
 
 let hypothetical_sorted_delta t ~procs ~amounts =
   let v = Array.copy t.loads in
   Array.iteri (fun i u -> v.(u) <- v.(u) +. amounts.(i)) procs;
-  Array.sort desc v;
+  Array.sort (fun a b -> compare b a) v;
   v
+
+let hypothetical_sorted t ~procs ~w =
+  hypothetical_sorted_delta t ~procs ~amounts:(Array.map (fun _ -> w) procs)

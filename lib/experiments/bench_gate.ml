@@ -78,10 +78,34 @@ let measure ?(samples = default_samples) ~reps run =
       in
       dt)
 
-let baseline_of_workloads ?(samples = 2 * default_samples - 1) workloads =
-  let calib = calibrate () in
-  let groups =
+(* The calibration time of a run is the median of at least
+   [min_calib_samples] samples taken between the groups' measurements (the
+   same number before each group and after the last), so it spans the
+   whole run and one preempted calibration loop cannot move the scale. *)
+let min_calib_samples = 5
+
+let with_calibration f items =
+  let slots = List.length items + 1 in
+  let per_slot = (min_calib_samples + slots - 1) / slots in
+  let calib = ref [] in
+  let sample_slot () =
+    for _ = 1 to per_slot do
+      calib := calibrate () :: !calib
+    done
+  in
+  let results =
     List.map
+      (fun x ->
+        sample_slot ();
+        f x)
+      items
+  in
+  sample_slot ();
+  (Ds.Stats.median (Array.of_list !calib), results)
+
+let baseline_of_workloads ?(samples = 2 * default_samples - 1) workloads =
+  let calib, groups =
+    with_calibration
       (fun (name, run) ->
         let reps = reps_for run in
         let med, mad = median_mad (measure ~samples ~reps run) in
@@ -205,14 +229,15 @@ let check_medians ?(slowdown = 1.0) b ~calib_now now_medians =
     b.b_groups
 
 let check ?slowdown ?(samples = default_samples) b workloads =
-  let calib_now = calibrate () in
-  let now_medians =
+  let measured =
     List.filter_map
-      (fun g ->
-        match List.assoc_opt g.g_name workloads with
-        | None -> None
-        | Some run -> Some (g.g_name, fst (median_mad (measure ~samples ~reps:g.g_reps run))))
+      (fun g -> Option.map (fun run -> (g, run)) (List.assoc_opt g.g_name workloads))
       b.b_groups
+  in
+  let calib_now, now_medians =
+    with_calibration
+      (fun (g, run) -> (g.g_name, fst (median_mad (measure ~samples ~reps:g.g_reps run))))
+      measured
   in
   (check_medians ?slowdown b ~calib_now now_medians, calib_now)
 

@@ -31,7 +31,8 @@ val measure : ?samples:int -> reps:int -> (unit -> unit) -> float array
 
 val baseline_of_workloads : ?samples:int -> (string * (unit -> unit)) list -> baseline
 (** Calibrate, pick reps per group, measure, and summarize — the whole
-    baseline-writing pipeline. *)
+    baseline-writing pipeline.  The recorded calibration time is the median
+    of at least five {!calibrate} samples interleaved with the groups. *)
 
 val write_baseline : string -> baseline -> unit
 (** JSON-lines file: one [meta] row (calibration), one [group] row each. *)
@@ -64,7 +65,8 @@ val check :
   verdict list * float
 (** Re-measure every baseline group present in the workload list (with the
     baseline's reps) and compare.  Returns the verdicts and the current
-    calibration time. *)
+    calibration time: the median of at least five {!calibrate} samples
+    interleaved with the groups, as at baseline time. *)
 
 val all_pass : verdict list -> bool
 

@@ -45,6 +45,20 @@ let refine ?params ?(should_stop = fun () -> false) rng h start =
   let choice = Array.copy start.Hyp_assignment.choice in
   let loads = Hyp_assignment.loads h start in
   let makespan_of () = Array.fold_left Float.max 0.0 loads in
+  let best_makespan = ref (makespan_of ()) in
+  (* [at_best] counts the processors whose load is >= the incumbent
+     makespan.  The current makespan is below the incumbent exactly when no
+     load reaches it, so the O(p) fold runs only when the count is 0. *)
+  let at_best = ref 0 in
+  let recount () =
+    at_best := Array.fold_left (fun n l -> if l >= !best_makespan then n + 1 else n) 0 loads
+  in
+  recount ();
+  let[@inline] set u l' =
+    if loads.(u) >= !best_makespan then decr at_best;
+    if l' >= !best_makespan then incr at_best;
+    loads.(u) <- l'
+  in
   let energy_delta ~e_old ~e_new =
     (* Apply: -w_old on e_old's procs, +w_new on e_new's; overlapping
        processors see both. *)
@@ -54,19 +68,18 @@ let refine ?params ?(should_stop = fun () -> false) rng h start =
     H.iter_h_procs h e_old (fun u ->
         let l = loads.(u) in
         delta := !delta -. (2.0 *. l *. w_old) +. (w_old *. w_old);
-        loads.(u) <- l -. w_old);
+        set u (l -. w_old));
     H.iter_h_procs h e_new (fun u ->
         let l = loads.(u) in
         delta := !delta +. (2.0 *. l *. w_new) +. (w_new *. w_new);
-        loads.(u) <- l +. w_new);
+        set u (l +. w_new));
     !delta
   in
   let undo ~e_old ~e_new =
-    H.iter_h_procs h e_new (fun u -> loads.(u) <- loads.(u) -. H.h_weight h e_new);
-    H.iter_h_procs h e_old (fun u -> loads.(u) <- loads.(u) +. H.h_weight h e_old)
+    H.iter_h_procs h e_new (fun u -> set u (loads.(u) -. H.h_weight h e_new));
+    H.iter_h_procs h e_old (fun u -> set u (loads.(u) +. H.h_weight h e_old))
   in
   let best_choice = Array.copy choice in
-  let best_makespan = ref (makespan_of ()) in
   let temperature = ref params.initial_temperature in
   (try
   for iter = 1 to params.iterations do
@@ -91,11 +104,14 @@ let refine ?params ?(should_stop = fun () -> false) rng h start =
         if accept then begin
           Obs.Metrics.incr c_accepted;
           choice.(v) <- e_new;
-          let m = makespan_of () in
-          if m < !best_makespan then begin
-            Obs.Metrics.incr c_improved_best;
-            best_makespan := m;
-            Array.blit choice 0 best_choice 0 n1
+          if !at_best = 0 then begin
+            let m = makespan_of () in
+            if m < !best_makespan then begin
+              Obs.Metrics.incr c_improved_best;
+              best_makespan := m;
+              recount ();
+              Array.blit choice 0 best_choice 0 n1
+            end
           end
         end
         else begin

@@ -110,50 +110,58 @@ let run_expected h =
     (degree_order h);
   choice
 
-(* Uniform-increment candidate comparison for VGH, per variant. *)
-let better_uniform ~variant lv ~cand:(procs, w) ~best:(bprocs, bw) =
+module Lv = Ds.Load_vector
+
+(* Candidate comparison for VGH and EVG, per variant.  Candidates live in
+   per-call delta buffers; [Naive] materializes and sorts both vectors. *)
+let better ~variant lv cand best =
   match variant with
-  | Merged -> Ds.Load_vector.compare_hypothetical lv ~a:(procs, w) ~b:(bprocs, bw) < 0
+  | Merged -> Lv.compare_delta lv cand best < 0
   | Naive ->
-      let va = Ds.Load_vector.hypothetical_sorted lv ~procs ~w in
-      let vb = Ds.Load_vector.hypothetical_sorted lv ~procs:bprocs ~w:bw in
-      compare va vb < 0
+      let sorted d =
+        Lv.hypothetical_sorted_delta lv ~procs:(Array.sub d.Lv.procs 0 d.Lv.len)
+          ~amounts:(Array.sub d.Lv.amounts 0 d.Lv.len)
+      in
+      compare (sorted cand) (sorted best) < 0
+
+(* Shared candidate loop of the vector heuristics: [fill d e] writes
+   candidate [e] of task [v] into [d]; the best one is committed.  The two
+   buffers swap roles on every improvement, so nothing is copied. *)
+let choose_vector ~variant lv ~cand ~best ~choice h v fill =
+  for e = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
+    Obs.Metrics.incr c_candidates;
+    let d = !cand in
+    fill d e;
+    if choice.(v) < 0 || better ~variant lv d !best then begin
+      choice.(v) <- e;
+      cand := !best;
+      best := d
+    end
+  done;
+  Obs.Metrics.incr c_realized;
+  Lv.commit lv !best
 
 let run_vector ~variant h =
-  let lv = Ds.Load_vector.create h.H.n2 in
+  let lv = Lv.create h.H.n2 in
+  let cand = ref (Lv.delta_buffer lv) and best = ref (Lv.delta_buffer lv) in
   let choice = Array.make h.H.n1 (-1) in
-  Array.iter
-    (fun v ->
-      let best = ref (-1) and best_cand = ref ([||], 0.0) in
-      H.iter_task_hyperedges h v (fun e ->
-          Obs.Metrics.incr c_candidates;
-          let cand = (H.h_procs h e, H.h_weight h e) in
-          if !best < 0 || better_uniform ~variant lv ~cand ~best:!best_cand then begin
-            best := e;
-            best_cand := cand
-          end);
-      choice.(v) <- !best;
-      Obs.Metrics.incr c_realized;
-      let procs, w = !best_cand in
-      Ds.Load_vector.apply lv ~procs ~w)
-    (degree_order h);
+  (* +w_h on each processor of h. *)
+  let fill d e =
+    let off = h.H.h_off.(e) in
+    let k = h.H.h_off.(e + 1) - off in
+    Array.blit h.H.h_adj off d.Lv.procs 0 k;
+    Array.fill d.Lv.amounts 0 k (H.h_weight h e);
+    d.Lv.len <- k
+  in
+  Array.iter (fun v -> choose_vector ~variant lv ~cand ~best ~choice h v fill) (degree_order h);
   choice
-
-let better_delta ~variant lv ~cand ~best =
-  match variant with
-  | Merged -> Ds.Load_vector.compare_hypothetical_delta lv ~a:cand ~b:best < 0
-  | Naive ->
-      let procs_a, am_a = cand and procs_b, am_b = best in
-      let va = Ds.Load_vector.hypothetical_sorted_delta lv ~procs:procs_a ~amounts:am_a in
-      let vb = Ds.Load_vector.hypothetical_sorted_delta lv ~procs:procs_b ~amounts:am_b in
-      compare va vb < 0
 
 (* EVG: the load vector holds *expected* loads.  For task v, every candidate
    h perturbs the processors in v's whole neighbourhood: −w_h'/d_v for each
    sibling option h' (tentatively discarded) and additionally +w_h on h's own
    processors (tentatively realized). *)
 let run_expected_vector ~variant h =
-  let lv = Ds.Load_vector.create h.H.n2 in
+  let lv = Lv.create h.H.n2 in
   (* Initial expectations, as in Algorithm 5. *)
   let o0 = Array.make h.H.n2 0.0 in
   for v = 0 to h.H.n1 - 1 do
@@ -163,48 +171,45 @@ let run_expected_vector ~variant h =
         H.iter_h_procs h e (fun u -> o0.(u) <- o0.(u) +. contribution))
   done;
   for u = 0 to h.H.n2 - 1 do
-    if o0.(u) <> 0.0 then Ds.Load_vector.add lv ~proc:u ~w:o0.(u)
+    if o0.(u) <> 0.0 then Lv.add lv ~proc:u ~w:o0.(u)
   done;
-  (* Scratch space to aggregate per-processor deltas of one task. *)
+  (* [base]: the union of processors across v's configurations, with the
+     "discard everything" delta; [index_of] locates a processor in it. *)
   let stamp = Array.make h.H.n2 (-1) in
   let index_of = Array.make h.H.n2 (-1) in
+  let base = Lv.delta_buffer lv in
+  let cand = ref (Lv.delta_buffer lv) and best = ref (Lv.delta_buffer lv) in
   let choice = Array.make h.H.n1 (-1) in
   Array.iter
     (fun v ->
       let dv = float_of_int (H.task_degree h v) in
-      (* Union of processors across v's configurations, with the "discard
-         everything" base delta. *)
-      let union = Ds.Vec.create () in
+      base.Lv.len <- 0;
       H.iter_task_hyperedges h v (fun e ->
           H.iter_h_procs h e (fun u ->
               if stamp.(u) <> v then begin
                 stamp.(u) <- v;
-                index_of.(u) <- Ds.Vec.length union;
-                Ds.Vec.push union u
+                index_of.(u) <- base.Lv.len;
+                base.Lv.procs.(base.Lv.len) <- u;
+                base.Lv.amounts.(base.Lv.len) <- 0.0;
+                base.Lv.len <- base.Lv.len + 1
               end));
-      let procs = Ds.Vec.to_array union in
-      let base = Array.make (Array.length procs) 0.0 in
       H.iter_task_hyperedges h v (fun e ->
           let w' = H.h_weight h e /. dv in
-          H.iter_h_procs h e (fun u -> base.(index_of.(u)) <- base.(index_of.(u)) -. w'));
-      let candidate e =
-        let amounts = Array.copy base in
+          H.iter_h_procs h e (fun u ->
+              let i = index_of.(u) in
+              base.Lv.amounts.(i) <- base.Lv.amounts.(i) -. w'));
+      let fill d e =
+        let k = base.Lv.len in
+        Array.blit base.Lv.procs 0 d.Lv.procs 0 k;
+        Array.blit base.Lv.amounts 0 d.Lv.amounts 0 k;
+        d.Lv.len <- k;
         let w = H.h_weight h e in
-        H.iter_h_procs h e (fun u -> amounts.(index_of.(u)) <- amounts.(index_of.(u)) +. w);
-        (procs, amounts)
+        for j = h.H.h_off.(e) to h.H.h_off.(e + 1) - 1 do
+          let i = index_of.(h.H.h_adj.(j)) in
+          d.Lv.amounts.(i) <- d.Lv.amounts.(i) +. w
+        done
       in
-      let best = ref (-1) and best_cand = ref (procs, base) in
-      H.iter_task_hyperedges h v (fun e ->
-          Obs.Metrics.incr c_candidates;
-          let cand = candidate e in
-          if !best < 0 || better_delta ~variant lv ~cand ~best:!best_cand then begin
-            best := e;
-            best_cand := cand
-          end);
-      choice.(v) <- !best;
-      Obs.Metrics.incr c_realized;
-      let bprocs, bamounts = !best_cand in
-      Ds.Load_vector.apply_delta lv ~procs:bprocs ~amounts:bamounts)
+      choose_vector ~variant lv ~cand ~best ~choice h v fill)
     (degree_order h);
   choice
 

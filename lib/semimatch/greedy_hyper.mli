@@ -18,10 +18,12 @@
 
     The vector heuristics come in two variants: [Naive] re-sorts the whole
     load vector per candidate (O(Σ d_v·|V2| log |V2|), what the paper
-    benchmarked) and [Merged] keeps the vector sorted and lazily merges
-    (O(Σ d_v·|V2|), the improvement the paper describes in Sec. IV-D3 but
-    left unimplemented).  Both return identical assignments; the ablation
-    bench measures the gap. *)
+    benchmarked) and [Merged], the list-based improvement the paper
+    describes in Sec. IV-D3 but left unimplemented, which compares two
+    candidates through {!Ds.Load_vector.compare_delta} on their changed
+    loads only, in O(|h| + |h'|) without sorting or allocating (see there
+    for the worst case under ties).  Both return identical assignments;
+    the ablation bench measures the gap. *)
 
 type algorithm =
   | Sorted_greedy_hyp

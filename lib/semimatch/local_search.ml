@@ -7,37 +7,19 @@ let c_rounds = Obs.Metrics.counter "semimatch.local_search.rounds"
 let c_moves = Obs.Metrics.counter "semimatch.local_search.moves"
 let c_candidates = Obs.Metrics.counter "semimatch.local_search.candidates"
 
-(* A move takes task v from hyperedge e_old to e_new.  Its delta touches the
-   processors of both configurations: −w_old on e_old's, +w_new on e_new's,
-   summed per processor when the sets overlap. *)
-let move_delta h ~stamp ~index_of ~v ~e_old ~e_new =
-  let union = Ds.Vec.create () in
-  let touch e =
-    H.iter_h_procs h e (fun u ->
-        if stamp.(u) <> v then begin
-          stamp.(u) <- v;
-          index_of.(u) <- Ds.Vec.length union;
-          Ds.Vec.push union u
-        end)
-  in
-  touch e_old;
-  touch e_new;
-  let procs = Ds.Vec.to_array union in
-  let amounts = Array.make (Array.length procs) 0.0 in
-  let w_old = H.h_weight h e_old and w_new = H.h_weight h e_new in
-  H.iter_h_procs h e_old (fun u -> amounts.(index_of.(u)) <- amounts.(index_of.(u)) -. w_old);
-  H.iter_h_procs h e_new (fun u -> amounts.(index_of.(u)) <- amounts.(index_of.(u)) +. w_new);
-  (procs, amounts)
+module Lv = Ds.Load_vector
 
 let refine ?(max_passes = 50) h a =
   if max_passes < 0 then invalid_arg "Local_search.refine: negative pass budget";
   let choice = Array.copy a.Hyp_assignment.choice in
-  let lv = Ds.Load_vector.create h.H.n2 in
-  Array.iter
-    (fun e -> Ds.Load_vector.apply lv ~procs:(H.h_procs h e) ~w:(H.h_weight h e))
-    choice;
+  let lv = Lv.create h.H.n2 in
+  Array.iter (fun e -> Lv.apply lv ~procs:(H.h_procs h e) ~w:(H.h_weight h e)) choice;
+  (* [stamp.(u) = visit] marks u as a processor of the current e_old, at
+     position [index_of.(u)] of every candidate delta. *)
   let stamp = Array.make h.H.n2 (-1) and index_of = Array.make h.H.n2 (-1) in
-  let no_move = ([||], [||]) in
+  let visit = ref 0 in
+  let no_move = { Lv.procs = [||]; amounts = [||]; len = 0 } in
+  let cand = ref (Lv.delta_buffer lv) and best = ref (Lv.delta_buffer lv) in
   let moves = ref 0 in
   let pass_no = ref 0 in
   let pass () =
@@ -46,26 +28,50 @@ let refine ?(max_passes = 50) h a =
     let moves_before = !moves in
     let improved = ref false in
     for v = 0 to h.H.n1 - 1 do
-      (* Greedily accept moves while v still improves; the stamp trick needs
-         a fresh marker per evaluation, so reuse task id by re-stamping. *)
+      (* Take v's best strictly improving move, if any. *)
       let e_old = choice.(v) in
-      let best = ref e_old and best_delta = ref no_move in
-      H.iter_task_hyperedges h v (fun e_new ->
-          if e_new <> e_old then begin
-            Obs.Metrics.incr c_candidates;
-            let cand = move_delta h ~stamp ~index_of ~v ~e_old ~e_new in
-            let reference = if !best = e_old then no_move else !best_delta in
-            if Ds.Load_vector.compare_hypothetical_delta lv ~a:cand ~b:reference < 0 then begin
-              best := e_new;
-              best_delta := cand
-            end;
-            (* Invalidate stamps so the next candidate rebuilds its union. *)
-            Array.iter (fun u -> stamp.(u) <- -1) (fst cand)
-          end);
-      if !best <> e_old then begin
-        let procs, amounts = !best_delta in
-        Ds.Load_vector.apply_delta lv ~procs ~amounts;
-        choice.(v) <- !best;
+      let off_old = h.H.h_off.(e_old) in
+      let k_old = h.H.h_off.(e_old + 1) - off_old in
+      let w_old = H.h_weight h e_old in
+      incr visit;
+      for i = 0 to k_old - 1 do
+        let u = h.H.h_adj.(off_old + i) in
+        stamp.(u) <- !visit;
+        index_of.(u) <- i
+      done;
+      let best_e = ref e_old in
+      for e_new = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
+        if e_new <> e_old then begin
+          Obs.Metrics.incr c_candidates;
+          (* A move takes task v from e_old to e_new: −w_old on e_old's
+             processors, +w_new on e_new's, summed per processor when the
+             sets overlap. *)
+          let d = !cand in
+          Array.blit h.H.h_adj off_old d.Lv.procs 0 k_old;
+          Array.fill d.Lv.amounts 0 k_old (0.0 -. w_old);
+          d.Lv.len <- k_old;
+          let w_new = H.h_weight h e_new in
+          for j = h.H.h_off.(e_new) to h.H.h_off.(e_new + 1) - 1 do
+            let u = h.H.h_adj.(j) in
+            if stamp.(u) = !visit then
+              d.Lv.amounts.(index_of.(u)) <- d.Lv.amounts.(index_of.(u)) +. w_new
+            else begin
+              d.Lv.procs.(d.Lv.len) <- u;
+              d.Lv.amounts.(d.Lv.len) <- 0.0 +. w_new;
+              d.Lv.len <- d.Lv.len + 1
+            end
+          done;
+          let reference = if !best_e = e_old then no_move else !best in
+          if Lv.compare_delta lv d reference < 0 then begin
+            best_e := e_new;
+            cand := !best;
+            best := d
+          end
+        end
+      done;
+      if !best_e <> e_old then begin
+        Lv.commit lv !best;
+        choice.(v) <- !best_e;
         incr moves;
         Obs.Metrics.incr c_moves;
         improved := true

@@ -237,6 +237,66 @@ let lazy_delta_compare_matches_naive =
       done;
       !ok)
 
+(* The sort-free primitive against the materialized vectors, on inputs that
+   force ties: loads and amounts on a half-integer grid (negative and zero
+   amounts included), identical, same-set, overlapping and disjoint
+   candidates, and buffers whose entries past [len] hold junk. *)
+let compare_delta_matches_sorted =
+  QCheck.Test.make ~name:"sort-free delta compare = compare on sorted vectors" ~count:500
+    QCheck.(pair (int_range 1 12) (int_bound 1000000))
+    (fun (p, seed) ->
+      let rng = Randkit.Prng.create ~seed in
+      let half () = float_of_int (Randkit.Prng.int_in_range rng ~lo:(-4) ~hi:4) /. 2.0 in
+      let lv = Lv.create p in
+      Lv.apply_delta lv ~procs:(Array.init p Fun.id) ~amounts:(Array.init p (fun _ -> abs_float (half ())));
+      let buffer procs =
+        let d = Lv.delta_buffer lv in
+        Array.fill d.Lv.procs 0 p (p - 1);
+        Array.fill d.Lv.amounts 0 p nan;
+        Array.iteri
+          (fun i u ->
+            d.Lv.procs.(i) <- u;
+            d.Lv.amounts.(i) <- half ())
+          procs;
+        d.Lv.len <- Array.length procs;
+        d
+      in
+      let sorted d =
+        Lv.hypothetical_sorted_delta lv ~procs:(Array.sub d.Lv.procs 0 d.Lv.len)
+          ~amounts:(Array.sub d.Lv.amounts 0 d.Lv.len)
+      in
+      let subset () =
+        Randkit.Prng.sample_without_replacement rng ~k:(Randkit.Prng.int rng (p + 1)) ~n:p
+      in
+      let ok = ref true in
+      for _ = 1 to 20 do
+        let a = buffer (subset ()) in
+        let b =
+          match Randkit.Prng.int rng 4 with
+          | 0 ->
+              (* identical candidate *)
+              let b = buffer (Array.sub a.Lv.procs 0 a.Lv.len) in
+              Array.blit a.Lv.amounts 0 b.Lv.amounts 0 a.Lv.len;
+              b
+          | 1 -> buffer (Array.sub a.Lv.procs 0 a.Lv.len) (* same set *)
+          | 2 -> buffer (subset ()) (* overlapping or not *)
+          | _ ->
+              let perm = Randkit.Prng.sample_without_replacement rng ~k:p ~n:p in
+              let cut = Randkit.Prng.int rng (p + 1) in
+              let a' = buffer (Array.sub perm 0 cut) in
+              Array.blit a'.Lv.procs 0 a.Lv.procs 0 cut;
+              Array.blit a'.Lv.amounts 0 a.Lv.amounts 0 cut;
+              a.Lv.len <- cut;
+              buffer (Array.sub perm cut (Randkit.Prng.int rng (p - cut + 1)))
+        in
+        let fast = Lv.compare_delta lv a b in
+        let naive = compare (sorted a) (sorted b) in
+        if compare fast 0 <> compare naive 0 then ok := false;
+        if Lv.compare_delta lv b a <> - fast then ok := false;
+        if Lv.compare_delta lv a a <> 0 then ok := false
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "vec push/get/set" `Quick test_vec_push_get;
@@ -257,4 +317,5 @@ let suite =
     QCheck_alcotest.to_alcotest load_vector_matches_model;
     QCheck_alcotest.to_alcotest lazy_compare_matches_naive;
     QCheck_alcotest.to_alcotest lazy_delta_compare_matches_naive;
+    QCheck_alcotest.to_alcotest compare_delta_matches_sorted;
   ]
